@@ -15,7 +15,6 @@ See ``kernelrecord.py`` for the ``BENCH_kernel.json`` format and
 
 from __future__ import annotations
 
-import json
 
 from repro.core import buffer_256, flow_buffer_256
 from repro.engine import HYBRID
@@ -249,12 +248,6 @@ def main(argv=None):
         components=_testbed_components(), obs_overhead=obs_overhead)
     path = (kernelrecord.BASELINE_PATH if args.update_baseline
             else kernelrecord.OUTPUT_PATH)
-    # The shard scaling curve is measured by bench_shard.py, not here;
-    # carry the existing section forward instead of dropping it.
-    if path.exists():
-        previous = json.loads(path.read_text())
-        if "shard_scaling" in previous:
-            record["shard_scaling"] = previous["shard_scaling"]
     kernelrecord.write_record(record, path)
     for name, bench in record["benchmarks"].items():
         print(f"{name:22s} {bench['before']['seconds']:.6f}s -> "

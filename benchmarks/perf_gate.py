@@ -25,19 +25,6 @@ machine-independent; only the disabled-path check compares against the
 committed record, so CI passes a wider disabled tolerance for runner
 noise.
 
-Finally, two shard probes: the **shard-scaling probe** (skippable with
-``--no-shard-probe``) re-measures the 2-worker sharded speedup on
-line:4 live and enforces the committed
-``shard_scaling.floor_workers_2`` floor, and the **shard-transport
-probe** (skippable with ``--no-transport-probe``) re-measures the
-per-round coordination overhead of the shm wire codec against pickle
-and enforces the committed
-``shard_transport.floor_overhead_ratio_shm`` floor.  Both run on
-multi-core machines only, since a single-core host time-shares the
-workers — a wall-clock speedup is not physically possible and the
-overhead ratio is compressed because worker-side codec time cannot
-overlap (the probes skip loudly in that case).
-
 Usage::
 
     python benchmarks/perf_gate.py out.json [--tolerance 0.30]
@@ -47,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import pathlib
 import sys
 
@@ -112,74 +98,6 @@ def obs_overhead_probe(report, baseline, disabled_tol: float,
     return ok
 
 
-def shard_scaling_probe(baseline, rounds: int = 2) -> bool:
-    """Gate the 2-worker shard speedup against the committed floor.
-
-    Re-measures serial vs 2-worker sharded wall time live (the committed
-    ``shard_scaling`` numbers are machine-specific; the *floor* is the
-    contract).  Wall-clock speedup from sharding is only physical on a
-    multi-core machine — a single-core host time-shares the workers and
-    measures transport overhead, not scaling — so the probe skips loudly
-    there instead of reporting a fake regression.
-    """
-    section = baseline.get("shard_scaling")
-    if section is None:
-        print("perf-gate: shard scaling         no committed shard_scaling "
-              "section — skipped")
-        return True
-    floor = section.get("floor_workers_2", 1.4)
-    cores = os.cpu_count() or 1
-    if cores < 2:
-        print(f"perf-gate: shard scaling         SKIPPED — {cores} CPU "
-              f"core(s); the 2-worker floor (x{floor}) needs a "
-              f"multi-core machine")
-        return True
-    import bench_shard
-    serial_s = bench_shard.time_serial(rounds)
-    sharded_s = bench_shard.time_sharded(2, rounds)
-    speedup = serial_s / sharded_s
-    passed = speedup >= floor
-    print(f"perf-gate: shard scaling         x{speedup:.2f} at 2 workers "
-          f"(floor x{floor}, serial {serial_s:.3f}s, sharded "
-          f"{sharded_s:.3f}s)  {'ok' if passed else 'REGRESSED'}")
-    return passed
-
-
-def shard_transport_probe(baseline, rounds: int = 3) -> bool:
-    """Gate the wire codec's per-round overhead ratio vs pickle.
-
-    Re-measures the line:4 per-round coordination overhead live for the
-    pickle and shm transports (interleaved best-of, see
-    ``bench_shard.measure_transport``) and enforces the committed
-    ``shard_transport.floor_overhead_ratio_shm`` floor.  Multi-core
-    machines only: on one core the worker-side codec cannot overlap
-    across cores, which compresses the ratio toward the pure
-    codec-parity limit and makes the floor unenforceable (the probe
-    skips loudly there instead of reporting a fake regression).
-    """
-    section = baseline.get("shard_transport")
-    if section is None:
-        print("perf-gate: shard transport       no committed "
-              "shard_transport section — skipped")
-        return True
-    floor = section.get("floor_overhead_ratio_shm", 3.0)
-    cores = os.cpu_count() or 1
-    if cores < 2:
-        print(f"perf-gate: shard transport       SKIPPED — {cores} CPU "
-              f"core(s); the pickle/shm overhead-ratio floor (x{floor}) "
-              f"needs a multi-core machine")
-        return True
-    import bench_shard
-    measured = bench_shard.measure_transport(rounds=rounds,
-                                             codecs=("pickle", "shm"))
-    ratio = measured.get("overhead_ratio_shm", 0.0)
-    passed = ratio >= floor
-    print(f"perf-gate: shard transport       x{ratio:.2f} pickle/shm "
-          f"per-round overhead (floor x{floor})  "
-          f"{'ok' if passed else 'REGRESSED'}")
-    return passed
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("report", help="pytest-benchmark JSON report")
@@ -204,10 +122,6 @@ def main(argv=None) -> int:
                              "runners double that under load)")
     parser.add_argument("--no-obs-probe", action="store_true",
                         help="skip the observability-overhead probe")
-    parser.add_argument("--no-shard-probe", action="store_true",
-                        help="skip the shard-scaling floor probe")
-    parser.add_argument("--no-transport-probe", action="store_true",
-                        help="skip the shard wire-codec overhead probe")
     args = parser.parse_args(argv)
 
     baseline = kernelrecord.load_baseline()
@@ -242,10 +156,6 @@ def main(argv=None) -> int:
         failed = (not obs_overhead_probe(
             report, baseline, args.obs_disabled_tolerance,
             args.obs_enabled_tolerance, args.obs_trace_tolerance)) or failed
-    if not args.no_shard_probe:
-        failed = (not shard_scaling_probe(baseline)) or failed
-    if not args.no_transport_probe:
-        failed = (not shard_transport_probe(baseline)) or failed
     if failed:
         print(f"perf-gate: FAIL — events/sec dropped more than "
               f"{args.tolerance:.0%} below the committed BENCH_kernel.json; "

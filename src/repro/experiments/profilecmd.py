@@ -235,38 +235,6 @@ def bench_diff_main(argv: Optional[Sequence[str]] = None) -> int:
         for key, value in sorted(overhead.items()):
             print(f"  {key:<24} {value:6.3f}x")
 
-    scaling = new.get("shard_scaling")
-    if scaling:
-        old_workers = (old.get("shard_scaling") or {}).get("workers", {})
-        print(f"\nshard scaling on {scaling.get('scenario')} "
-              f"({scaling.get('cpu_count')} cores, floor x"
-              f"{scaling.get('floor_workers_2')} at 2 workers):")
-        for point, entry in sorted(scaling.get("workers", {}).items(),
-                                   key=lambda kv: int(kv[0])):
-            was = old_workers.get(point, {}).get("speedup_vs_serial")
-            delta = (f"  (was x{was:.2f})" if was is not None else "")
-            print(f"  {point:>2} workers{'':<14} "
-                  f"x{entry['speedup_vs_serial']:.2f} vs serial{delta}")
-
-    transport = new.get("shard_transport")
-    if transport:
-        old_codecs = (old.get("shard_transport") or {}).get("codecs", {})
-        print(f"\nshard transport per-round overhead on "
-              f"{transport.get('scenario')} "
-              f"({transport.get('workers')} workers, "
-              f"{transport.get('cpu_count')} cores):")
-        for codec, entry in transport.get("codecs", {}).items():
-            was = old_codecs.get(codec, {}).get("overhead_ms_per_round")
-            delta = (f"  (was {was:.3f})" if was is not None else "")
-            print(f"  {codec:<24} {entry['overhead_ms_per_round']:6.3f} "
-                  f"ms/round, {entry['bytes_total']:,} wire bytes{delta}")
-        for key in sorted(transport):
-            if key.startswith("overhead_ratio_"):
-                codec = key[len("overhead_ratio_"):]
-                print(f"  pickle/{codec:<17} x{transport[key]:.2f} "
-                      f"(floor x{transport.get('floor_overhead_ratio_shm')}"
-                      f" on shm, multi-core)")
-
     if args.fail_below is not None and -worst > args.fail_below:
         print(f"bench diff: FAIL — a probe dropped {-worst:.1%} "
               f"(> {args.fail_below:.0%} allowed)", file=sys.stderr)

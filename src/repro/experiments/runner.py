@@ -51,8 +51,7 @@ def run_once(buffer_config: BufferConfig, workload: Workload,
              max_extends: int = 20,
              obs: Optional["RunObserver"] = None,
              scenario: Optional[ScenarioSpec] = None,
-             faults: Optional[FaultSpec] = None,
-             on_testbed: Optional[Callable] = None) -> RunMetrics:
+             faults: Optional[FaultSpec] = None) -> RunMetrics:
     """One repetition: build a fresh testbed, play the workload, snapshot.
 
     ``scenario`` selects the topology (a
@@ -73,34 +72,11 @@ def run_once(buffer_config: BufferConfig, workload: Workload,
     ``obs`` attaches a :class:`repro.obs.RunObserver` to the testbed's
     event emitters before traffic and snapshots its registry at the end;
     the returned metrics are identical with or without it.
-
-    A scenario with an active :class:`~repro.shard.ShardSpec` delegates
-    to :func:`repro.shard.run_once_sharded`: the same repetition on
-    partitioned event loops, returning bit-identical metrics.
-    ``on_testbed`` (serial runs only) is called with the built testbed
-    before the handshake — the hook the shard verify mode uses to record
-    event streams without duplicating this function.
     """
     spec = scenario if scenario is not None else SINGLE
-    if spec.shard.is_active:
-        if obs is not None:
-            raise ValueError(
-                "sharded execution does not compose with a RunObserver: "
-                "its emitters span shard processes; run with shard=off "
-                "(sharded runs export shard.* counters instead)")
-        if on_testbed is not None:
-            raise ValueError("on_testbed is a serial-run hook; sharded "
-                             "runs have no single testbed to hand out")
-        from ..shard import run_once_sharded
-        return run_once_sharded(
-            buffer_config, workload, calibration=calibration, seed=seed,
-            settle=settle, drain=drain, max_extends=max_extends,
-            scenario=spec, faults=faults)
     testbed = build_scenario(spec, buffer_config, workload,
                              calibration=calibration, seed=seed)
     install_faults(testbed, faults)
-    if on_testbed is not None:
-        on_testbed(testbed)
     sim = testbed.sim
     if obs is not None:
         obs.attach(testbed, calibration=calibration)

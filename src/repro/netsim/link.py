@@ -41,11 +41,6 @@ class Link:
         self._receiver: Optional[Receiver] = None
         self._taps: list[Tap] = []
         self._idle_listeners: list[Callable[[], None]] = []
-        #: Partition seam (``repro.shard``).  When set, transmitted items
-        #: leave the local event loop as ``(delivery_time, item)`` pairs
-        #: instead of being scheduled for local delivery; ``None`` keeps
-        #: the serial fast path byte-for-byte unchanged.
-        self._outbound: Optional[Callable[[float, Any], None]] = None
         #: Cumulative bytes and items accepted for transmission.
         self.bytes_sent = 0
         self.items_sent = 0
@@ -82,14 +77,7 @@ class Link:
         self._station.submit(item, service, self._transmitted)
 
     def _transmitted(self, item: Any) -> None:
-        if self._outbound is not None:
-            # Cut link: the receiver lives in another shard.  Hand the
-            # item (stamped with its physical delivery time) to the shard
-            # runtime; serialization, taps and byte accounting above all
-            # happened sender-side exactly as in the serial path.
-            self._outbound(self.sim._now + self.propagation_delay, item)
-        else:
-            self.sim.schedule(self.propagation_delay, self._deliver, item)
+        self.sim.schedule(self.propagation_delay, self._deliver, item)
         station = self._station
         if not station._busy and not station._queue:
             for listener in self._idle_listeners:

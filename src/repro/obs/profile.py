@@ -2,9 +2,8 @@
 
 Everything else in :mod:`repro.obs` measures *simulated* time; this
 module measures where *wall* time goes while the kernel executes — the
-question PR 5's end-to-end benchmark numbers cannot answer (which
-component is hot?) and the instrumentation the sharded-kernel roadmap
-item needs to prove its scaling curve.
+question the end-to-end benchmark numbers cannot answer: which
+component is hot?
 
 Design constraints (DESIGN.md §15):
 
@@ -69,8 +68,6 @@ MODULE_COMPONENTS = {
     "repro.metrics.samplers": "metrics",
     "repro.metrics.collector": "metrics",
     "repro.obs.monitor": "monitor",
-    "repro.shard.transport": "shard-transport",
-    "repro.shard.coordinator": "shard-transport",
 }
 
 

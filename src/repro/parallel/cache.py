@@ -41,7 +41,8 @@ from .tasks import SweepJob, SweepTask, factory_fingerprint
 #: serial runs of the same grid point are asserted bit-identical by the
 #: shard verify mode, but share no entries: an equivalence bug must
 #: never let one mode's results satisfy the other's lookups.
-CACHE_SCHEMA = 6
+#: v7: ``|shard=`` left the scenario token with sharded execution.
+CACHE_SCHEMA = 7
 
 
 def default_cache_dir() -> Path:

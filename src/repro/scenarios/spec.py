@@ -26,7 +26,6 @@ from typing import Dict, Optional, Tuple
 
 from ..bufferpool.spec import PoolSpec, pool_cache_token
 from ..engine.spec import PACKET, EngineSpec
-from ..shard.spec import OFF, ShardSpec
 
 #: Override payload: ((datapath_id, ((field, value), ...)), ...).
 SwitchOverrides = Tuple[Tuple[int, Tuple[Tuple[str, object], ...]], ...]
@@ -61,10 +60,6 @@ class ScenarioSpec:
     #: a discrete event, the historical behaviour; ``hybrid`` = table-hit
     #: traffic as analytic flow aggregates).  See :mod:`repro.engine`.
     engine: EngineSpec = PACKET
-    #: Event-loop sharding: ``off`` = one Simulator (the historical
-    #: behaviour); ``per-switch`` = partitioned event loops synchronized
-    #: with conservative lookahead.  See :mod:`repro.shard`.
-    shard: ShardSpec = OFF
 
     def __post_init__(self) -> None:
         if not self.shape or not isinstance(self.shape, str):
@@ -96,8 +91,6 @@ class ScenarioSpec:
             base += f"+pool={self.pool.name}"
         if self.engine.mode != "packet":
             base += f"+engine={self.engine.name}"
-        if self.shard.is_active:
-            base += f"+shard={self.shard.name}"
         return base
 
     def with_pool(self, pool: Optional[PoolSpec]) -> "ScenarioSpec":
@@ -107,10 +100,6 @@ class ScenarioSpec:
     def with_engine(self, engine: EngineSpec) -> "ScenarioSpec":
         """This scenario advanced by a different execution engine."""
         return replace(self, engine=engine)
-
-    def with_shard(self, shard: ShardSpec) -> "ScenarioSpec":
-        """This scenario executed on a different event-loop sharding."""
-        return replace(self, shard=shard)
 
     def override_for(self, datapath_id: int) -> Dict[str, object]:
         """SwitchConfig field replacements for one datapath (may be {})."""
@@ -132,8 +121,7 @@ class ScenarioSpec:
                 f"|sources={self.n_sources}|calibration={self.calibration}"
                 f"|overrides={self.switch_overrides!r}"
                 f"|pool={pool_cache_token(self.pool)}"
-                f"|engine={self.engine.cache_token()}"
-                f"|shard={self.shard.cache_token()}")
+                f"|engine={self.engine.cache_token()}")
 
 
 #: The default spec: the paper's single-switch Fig. 1 testbed.

@@ -33,30 +33,3 @@ def test_build_record_carries_after_only_probes():
     assert "before" not in bench
     assert "speedup" not in bench
 
-
-def test_committed_record_has_shard_scaling_section():
-    record = kernelrecord.load_baseline()
-    section = record["shard_scaling"]
-    assert section["scenario"] == "line:4"
-    assert section["cpu_count"] >= 1
-    assert section["floor_workers_2"] == 1.8
-    assert {"1", "2", "4"} <= set(section["workers"])
-    for point in section["workers"].values():
-        assert point["seconds"] > 0
-        assert point["events_per_sec"] > 0
-
-
-def test_committed_record_has_shard_transport_section():
-    record = kernelrecord.load_baseline()
-    section = record["shard_transport"]
-    assert section["scenario"] == "line:4"
-    assert section["cpu_count"] >= 1
-    assert section["floor_overhead_ratio_shm"] == 3.0
-    assert {"pickle", "framed", "shm"} <= set(section["codecs"])
-    for point in section["codecs"].values():
-        assert point["rounds_wall_seconds"] > 0
-        assert point["overhead_ms_per_round"] > 0
-    # The binary codecs put strictly fewer bytes on the wire than pickle.
-    codecs = section["codecs"]
-    assert codecs["framed"]["bytes_total"] < codecs["pickle"]["bytes_total"]
-    assert codecs["shm"]["bytes_total"] <= codecs["framed"]["bytes_total"]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import pathlib
 
 from repro.experiments.cli import main as cli_main
 
@@ -59,6 +60,46 @@ def test_bench_diff_compares_v1_and_v2_records(tmp_path, capsys):
     assert "+10.0%" in captured.out
     assert "station:ovs-cpu" in captured.out
     assert "1.080x" in captured.out
+
+
+#: The shard sections of the record committed before sharded execution
+#: was removed, abridged to one worker count and one codec.
+_REMOVED_SHARD_SECTIONS = {
+    "shard_scaling": {
+        "scenario": "line:4", "flows": 1600, "rate_mbps": 40.0,
+        "link_propagation_delay": 0.005, "cpu_count": 1, "events": 119985,
+        "floor_workers_2": 1.8,
+        "serial": {"seconds": 0.982129, "events_per_sec": 122168.2},
+        "workers": {"2": {"seconds": 1.291091, "events_per_sec": 92933.1,
+                          "speedup_vs_serial": 0.761}}},
+    "shard_transport": {
+        "scenario": "line:4", "flows": 400, "rate_mbps": 40.0,
+        "link_propagation_delay": 0.005, "workers": 2, "cpu_count": 1,
+        "rounds": 52, "floor_overhead_ratio_shm": 3.0,
+        "inline_rounds_wall_seconds": 0.192534,
+        "codecs": {"shm": {"rounds_wall_seconds": 0.272008,
+                           "overhead_ms_per_round": 1.5283,
+                           "serialize_seconds": 0.063594,
+                           "bytes_total": 662355, "rounds_coalesced": 3}},
+        "overhead_ratio_shm": 1.607},
+}
+
+
+def test_bench_diff_reads_records_with_removed_shard_sections(tmp_path,
+                                                              capsys):
+    committed = pathlib.Path(__file__).resolve().parent.parent \
+        / "BENCH_kernel.json"
+    record = json.loads(committed.read_text())
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({**record, **_REMOVED_SHARD_SECTIONS}))
+    code = cli_main(["bench", "diff", str(old), str(committed)])
+    out = capsys.readouterr().out
+    assert code == 0
+    for probe in record["benchmarks"]:
+        assert probe in out
+    for component in record["components"]:
+        assert component in out
+    assert "shard" not in out.split("\n", 1)[1]
 
 
 def test_bench_diff_fail_below_gates_regressions(tmp_path, capsys):

@@ -395,25 +395,26 @@ _KERNEL_GOLDEN_ROWS = {
 #: silently invalidate or, worse, cross-contaminate — the result cache.
 #: Regenerated for CACHE_SCHEMA v4 (the pool token joined the key),
 #: again for v5 (the execution engine joined through the scenario
-#: token) and for v6 (the shard spec joined the same way); the golden
-#: ROW values above are unchanged from the pre-pool kernel — schema
-#: bumps re-key the cache, never the physics.
+#: token), for v6 (the shard spec joined the same way) and for v7 (the
+#: shard spec left again); the golden ROW values above are unchanged
+#: from the pre-pool kernel — schema bumps re-key the cache, never the
+#: physics.
 _KERNEL_GOLDEN_TASK_KEYS = {
     "single/none": (
-        "a3a42924b61109d408b8938a939ba476dc395ab16a6b8cb7e68bc840e2140132",
-        "1efcf24d3b4dec358e8244b67ed4dc0a7a8a38386ec314ef47e16674363d04cf",
+        "f29aa5990728c1250cb4bed8d36fad0afe9e620746d0f30c35bafacfcf9c4802",
+        "ec4c57f6e1baea5f73a97c21e601af896f47e5f0ca843fa7112c54483d59c7bf",
     ),
     "single/loss1pct": (
-        "3c8c3f8b5e3aae130a09825224818444f6886a3744c11985ed55c218d9f20202",
-        "8ba0e686116a022ebc7f8440f449858d4e47a42a2d106f0f43301f48495c6975",
+        "53ad654c08383f2fceef602d867dd13fe6ea6406fe82be2257508fdc3c21a3a5",
+        "a53f3812ea22179625c2c57b602e66205c166fc548a558bf55f738452326e126",
     ),
     "line:2/none": (
-        "08e485486233bd8266cc2ce1ba89512ef688b9082cefd3f611133316110ca65a",
-        "92a9587c8a0f4c12a88fb20a3136d410201df5b496d7a2926d3844c4fb4b515f",
+        "aa0256c950d8a94137a2c3447cc45752ae1f7f76bbb27a4993616ecb80fe3d1d",
+        "ffa5b91a2e1418e62b06cb8f428408b3aa353d6e915b46565e0b81e2da8b9d1e",
     ),
     "line:2/loss1pct": (
-        "d5e56172d01fdf34b589dec515b73ae29067d08c074bff8c6f4f831a802f1aa1",
-        "7c38e8b37da945ba4e2329917a5ccb1a86da248786e73115d2e9ea8e7ed59930",
+        "cb2bebba06a6ef4fae6190a8c00a7554bcd9b2f339cd5e2aac55567b74d64608",
+        "deddefec39a25f694487d548205611d9513267d1513ce104a5168dcb35c6e591",
     ),
 }
 
