@@ -118,7 +118,7 @@ def main(argv=None) -> int:
                         help="allowed tracer-attached overhead over the "
                              "plain testbed run, paired in-process "
                              "(default 1.5; coarse — the tracer "
-                             "costs a real ~35%, and shared "
+                             "costs a real ~35%%, and shared "
                              "runners double that under load)")
     parser.add_argument("--no-obs-probe", action="store_true",
                         help="skip the observability-overhead probe")

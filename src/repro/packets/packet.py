@@ -9,7 +9,6 @@ material for the paper's flow-setup-delay and forwarding-delay definitions.
 
 from __future__ import annotations
 
-import copy
 import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -29,7 +28,7 @@ _UNSET = object()
 L4Header = Union[UDPHeader, TCPHeader]
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """A frame on the wire.
 
@@ -118,19 +117,34 @@ class Packet:
             key = self._five_tuple = FiveTuple.from_packet(self)
         return key
 
-    def fresh_copy(self) -> "Packet":
-        """A header-sharing copy with its own identity and clean stamps.
+    def replay_copy(self) -> "Packet":
+        """A header-sharing copy with the same ``uid`` and clean stamps.
 
-        ``copy.copy`` alone duplicates ``uid``, which would confuse any
-        uid-keyed observer (the delay tracker identifies a flow's first
-        packet by uid).  Workloads that mint *new* logical packets from a
-        template — the hybrid engine's lazy tails — use this instead.
+        Replays send this copy, so one run's measurement stamps never
+        reach the template or the next run.  Packets are slotted (one
+        allocation per copy, no per-packet dict for the garbage collector
+        to walk), so every field is copied by name: a new field must be
+        added here too.
         """
-        clone = copy.copy(self)
+        clone = object.__new__(Packet)
+        clone.eth, clone.ip, clone.l4 = self.eth, self.ip, self.l4
+        clone.payload_len, clone.uid = self.payload_len, self.uid
+        clone.flow_id, clone.seq_in_flow = self.flow_id, self.seq_in_flow
+        clone.created_at = clone.switch_in_at = clone.switch_out_at = None
+        clone._exact_key, clone._five_tuple, clone._wire_len = (
+            self._exact_key, self._five_tuple, self._wire_len)
+        return clone
+
+    def fresh_copy(self) -> "Packet":
+        """A :meth:`replay_copy` with a new ``uid``: a new logical packet.
+
+        A duplicated uid would confuse uid-keyed observers (the delay
+        tracker identifies a flow's first packet by uid).  Per-flow
+        templates and the hybrid engine's lazy tails mint a flow's later
+        packets with this.
+        """
+        clone = self.replay_copy()
         clone.uid = next(_packet_ids)
-        clone.created_at = None
-        clone.switch_in_at = None
-        clone.switch_out_at = None
         return clone
 
     def exact_key(self, in_port: int) -> tuple:

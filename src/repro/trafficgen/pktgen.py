@@ -8,8 +8,6 @@ replay the same workload across repetitions with fresh packet objects.
 
 from __future__ import annotations
 
-import copy
-
 from ..netsim import Host
 from ..simkit import Simulator
 from .workloads import Workload
@@ -31,16 +29,13 @@ class PacketGenerator:
     def start(self, at: float = 0.0) -> None:
         """Schedule the whole train, starting ``at`` seconds from now.
 
-        Packets are deep-copied per run so measurement stamps from one
-        repetition never leak into the next.
+        Every packet is sent as a :meth:`~repro.packets.Packet.replay_copy`
+        so measurement stamps from one repetition never leak into the next.
         """
         base = self.sim.now + at
         for offset, packet in self.workload.entries:
-            fresh = copy.copy(packet)  # headers are immutable; stamps reset
-            fresh.created_at = None
-            fresh.switch_in_at = None
-            fresh.switch_out_at = None
-            handle = self.sim.schedule_at(base + offset, self._send, fresh)
+            handle = self.sim.schedule_at(base + offset, self._send,
+                                          packet.replay_copy())
             self._handles.append(handle)
 
     def _send(self, packet) -> None:

@@ -252,6 +252,7 @@ def batched_multi_packet_flows(rate_bps: float, n_flows: int = 50,
     workload = Workload(
         name=f"batched-flows-{n_flows}x{packets_per_flow}")
     order = cross_sequence(batch_size, packets_per_flow)
+    templates: Dict[int, Packet] = {}
     batch_start = 0.0
     for batch_index in range(n_flows // batch_size):
         for slot, (flow_in_batch, seq) in enumerate(order):
@@ -262,17 +263,20 @@ def batched_multi_packet_flows(rate_bps: float, n_flows: int = 50,
                                  -jitter_fraction * gap,
                                  jitter_fraction * gap)
                 t = max(t, batch_start)
-            src_ip = _forged_source_ip(flow_id)
-            packet = udp_packet(src_mac=HOST1_MAC, dst_mac=HOST2_MAC,
-                                src_ip=src_ip, dst_ip=HOST2_IP,
-                                src_port=2000 + flow_id, dst_port=dst_port,
-                                frame_len=frame_len, flow_id=flow_id,
-                                seq_in_flow=seq)
-            workload.entries.append((t, packet))
-            if flow_id not in workload.flows:
+            template = templates.get(flow_id)
+            if template is None:
+                packet = templates[flow_id] = udp_packet(
+                    src_mac=HOST1_MAC, dst_mac=HOST2_MAC,
+                    src_ip=_forged_source_ip(flow_id), dst_ip=HOST2_IP,
+                    src_port=2000 + flow_id, dst_port=dst_port,
+                    frame_len=frame_len, flow_id=flow_id, seq_in_flow=seq)
                 workload.flows[flow_id] = FlowSpec(
                     flow_id=flow_id, five_tuple=packet.five_tuple,
                     n_packets=packets_per_flow)
+            else:
+                packet = template.fresh_copy()
+                packet.seq_in_flow = seq
+            workload.entries.append((t, packet))
         batch_start += len(order) * gap + batch_gap
     workload.entries.sort(key=lambda entry: entry[0])
     return workload
@@ -321,18 +325,17 @@ def tcp_eviction_scenario(rate_bps: float, initial_packets: int = 10,
     add(tcp_control_packet(HOST1_MAC, HOST2_MAC, HOST1_IP, HOST2_IP,
                            src_port, dst_port, flags=FLAG_ACK), t)
     t += gap
-    for _ in range(initial_packets):
-        add(tcp_packet(HOST1_MAC, HOST2_MAC, HOST1_IP, HOST2_IP,
-                       src_port, dst_port, flags=FLAG_ACK,
-                       frame_len=frame_len), t)
-        t += gap
-    #: The data burst resumes after the idle gap.
-    t += idle_gap
-    burst_start = t
-    for _ in range(burst_packets):
-        add(tcp_packet(HOST1_MAC, HOST2_MAC, HOST1_IP, HOST2_IP,
-                       src_port, dst_port, flags=FLAG_ACK,
-                       frame_len=frame_len), t)
+    data: Optional[Packet] = None
+    for index in range(initial_packets + burst_packets):
+        if index == initial_packets:
+            #: The data burst resumes after the idle gap.
+            t += idle_gap
+            burst_start = t
+        # Every data segment carries the same headers: validate them once.
+        data = data.fresh_copy() if data is not None else tcp_packet(
+            HOST1_MAC, HOST2_MAC, HOST1_IP, HOST2_IP, src_port, dst_port,
+            flags=FLAG_ACK, frame_len=frame_len)
+        add(data, t)
         t += gap
 
     five_tuple = workload.entries[0][1].five_tuple
@@ -360,17 +363,20 @@ def recurring_flows(rate_bps: float, n_flows: int = 20,
     slot = 0
     for round_index in range(rounds):
         for flow_id in range(n_flows):
-            packet = udp_packet(src_mac=HOST1_MAC, dst_mac=HOST2_MAC,
-                                src_ip=_forged_source_ip(flow_id),
-                                dst_ip=HOST2_IP, src_port=3000 + flow_id,
-                                dst_port=dst_port, frame_len=frame_len,
-                                flow_id=flow_id, seq_in_flow=round_index)
-            workload.entries.append((slot * gap, packet))
-            slot += 1
-            if flow_id not in workload.flows:
+            if round_index == 0:
+                packet = udp_packet(src_mac=HOST1_MAC, dst_mac=HOST2_MAC,
+                                    src_ip=_forged_source_ip(flow_id),
+                                    dst_ip=HOST2_IP, src_port=3000 + flow_id,
+                                    dst_port=dst_port, frame_len=frame_len,
+                                    flow_id=flow_id, seq_in_flow=0)
                 workload.flows[flow_id] = FlowSpec(
                     flow_id=flow_id, five_tuple=packet.five_tuple,
                     n_packets=rounds)
+            else:  # round 0's entry ``flow_id`` is the flow's template
+                packet = workload.entries[flow_id][1].fresh_copy()
+                packet.seq_in_flow = round_index
+            workload.entries.append((slot * gap, packet))
+            slot += 1
     return workload
 
 
@@ -413,7 +419,7 @@ def mixed_tcp_udp(rate_bps: float, n_tcp_flows: int = 10,
             slots[slot] = ("udp", udp_index, 0)
             udp_index += 1
 
-    tcp_seq_seen: Dict[int, int] = {}
+    tcp_data: Dict[int, Packet] = {}
     for slot, (kind, index, seq) in enumerate(slots):
         t = slot * gap
         if rng is not None:
@@ -427,12 +433,14 @@ def mixed_tcp_udp(rate_bps: float, n_tcp_flows: int = 10,
                     HOST1_MAC, HOST2_MAC, HOST1_IP, HOST2_IP,
                     src_port, 80, flags=FLAG_SYN,
                     flow_id=flow_id, seq_in_flow=seq)
+            elif flow_id in tcp_data:
+                packet = tcp_data[flow_id].fresh_copy()
+                packet.seq_in_flow = seq
             else:
-                packet = tcp_packet(
+                packet = tcp_data[flow_id] = tcp_packet(
                     HOST1_MAC, HOST2_MAC, HOST1_IP, HOST2_IP,
                     src_port, 80, flags=FLAG_ACK, frame_len=frame_len,
                     flow_id=flow_id, seq_in_flow=seq)
-            tcp_seq_seen[flow_id] = seq
             if flow_id not in workload.flows:
                 workload.flows[flow_id] = FlowSpec(
                     flow_id=flow_id, five_tuple=packet.five_tuple,

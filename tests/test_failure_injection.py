@@ -13,6 +13,7 @@ from repro.core import (BufferConfig, FlowGranularityBuffer, buffer_256,
                         flow_buffer_256)
 from repro.experiments import build_testbed
 from repro.openflow import ErrorMsg, OutputAction, PacketIn, PacketOut
+from repro.packets import udp_packet
 from repro.simkit import RandomStreams, mbps
 from repro.trafficgen import single_packet_flows
 
@@ -123,10 +124,13 @@ def test_unknown_destination_is_flooded_not_dropped():
     """Traffic to an unprovisioned destination still reaches hosts."""
     workload = single_packet_flows(mbps(20), n_flows=3,
                                    rng=RandomStreams(5))
-    for _, packet in workload.entries:
-        # Point every packet at addresses the locator doesn't know.
-        object.__setattr__(packet.ip, "dst_ip", "10.99.99.99")
-        object.__setattr__(packet.eth, "dst_mac", "00:00:00:00:00:99")
+    # Point every packet at addresses the locator doesn't know.
+    workload.entries = [
+        (t, udp_packet(packet.eth.src_mac, "00:00:00:00:00:99",
+                       packet.ip.src_ip, "10.99.99.99", packet.l4.src_port,
+                       packet.l4.dst_port, frame_len=packet.wire_len,
+                       flow_id=packet.flow_id, seq_in_flow=0))
+        for t, packet in workload.entries]
     testbed = build_testbed(buffer_256(), workload, seed=5)
     testbed.controller.start_handshake()
     testbed.pktgen.start(at=0.02)

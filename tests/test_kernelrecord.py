@@ -5,10 +5,13 @@ from __future__ import annotations
 import pathlib
 import sys
 
+import pytest
+
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent
                        / "benchmarks"))
 
 import kernelrecord
+import perf_gate
 
 
 def test_build_record_skips_probes_missing_from_after():
@@ -33,3 +36,10 @@ def test_build_record_carries_after_only_probes():
     assert "before" not in bench
     assert "speedup" not in bench
 
+
+def test_perf_gate_help_renders():
+    # argparse %-formats every help string: a bare "%" in one crashes
+    # --help with a ValueError instead of printing usage.
+    with pytest.raises(SystemExit) as exit_info:
+        perf_gate.main(["--help"])
+    assert exit_info.value.code == 0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -142,6 +144,59 @@ def test_packet_uids_are_unique():
                           "10.0.0.1", "10.0.0.2", 1, 2) for _ in range(10)]
     uids = {p.uid for p in packets}
     assert len(uids) == 10
+
+
+def _stamped_template() -> Packet:
+    packet = udp_packet("00:00:00:00:00:01", "00:00:00:00:00:02",
+                        "10.0.0.1", "10.0.0.2", 1, 2, flow_id=7,
+                        seq_in_flow=0)
+    packet.created_at = 1.0
+    packet.switch_in_at = 2.0
+    packet.switch_out_at = 3.0
+    return packet
+
+
+def test_replay_copy_keeps_identity_and_shares_headers():
+    template = _stamped_template()
+    # Fill the lookup-key caches: the copy must carry them too.
+    template.exact_key(1)
+    assert template.five_tuple is not None and template.wire_len == 1000
+    copy = template.replay_copy()
+    assert type(copy) is Packet and copy is not template
+    stamps = {"created_at", "switch_in_at", "switch_out_at"}
+    # Every other field, caches included, is carried over by identity.
+    for field in dataclasses.fields(Packet):
+        if field.name in stamps:
+            assert getattr(copy, field.name) is None
+        else:
+            assert getattr(copy, field.name) is getattr(template,
+                                                        field.name)
+    assert (copy.uid, copy.flow_id, copy.seq_in_flow) == (
+        template.uid, 7, 0)
+
+
+def test_replay_copy_stamps_never_reach_the_template():
+    template = udp_packet("00:00:00:00:00:01", "00:00:00:00:00:02",
+                          "10.0.0.1", "10.0.0.2", 1, 2)
+    copy = template.replay_copy()
+    copy.created_at = 0.5
+    copy.switch_in_at = 0.6
+    copy.switch_out_at = 0.7
+    copy.seq_in_flow = 3
+    assert template.created_at is None
+    assert template.switch_in_at is None
+    assert template.switch_out_at is None
+    assert template.seq_in_flow is None
+
+
+def test_fresh_copy_mints_a_new_uid():
+    template = _stamped_template()
+    first = template.fresh_copy()
+    second = template.fresh_copy()
+    assert template.uid < first.uid < second.uid
+    assert first.eth is template.eth and first.l4 is template.l4
+    assert first.created_at is None and first.switch_out_at is None
+    assert first.five_tuple == template.five_tuple
 
 
 def test_l4_without_ip_rejected():

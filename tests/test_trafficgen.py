@@ -2,14 +2,26 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core import flow_buffer_256
+from repro.engine import HYBRID, PACKET
+from repro.experiments import run_once
 from repro.netsim import Host, Link
+from repro.packets import (FLAG_ACK, FLAG_SYN, tcp_control_packet,
+                           tcp_packet, udp_packet)
+from repro.scenarios import SINGLE
 from repro.simkit import RandomStreams, Simulator, mbps, transmission_delay
-from repro.trafficgen import (PacketGenerator, batched_multi_packet_flows,
+from repro.trafficgen import (HOST1_IP, HOST1_MAC, HOST2_IP, HOST2_MAC,
+                              PacketGenerator, batched_multi_packet_flows,
                               constant_gap_times, cross_sequence,
-                              poisson_times, single_packet_flows)
+                              flow_train_flows, mixed_tcp_udp,
+                              poisson_times, recurring_flows,
+                              single_packet_flows, tcp_eviction_scenario)
+from repro.trafficgen.workloads import _forged_source_ip
 
 
 # ---------------------------------------------------------------------------
@@ -195,3 +207,159 @@ def test_pktgen_stop_cancels_remaining(sim):
     sim.run()
     assert 0 < generator.packets_sent < 100
     assert not generator.finished
+
+
+# ---------------------------------------------------------------------------
+# Per-flow templates: equal to per-packet construction
+# ---------------------------------------------------------------------------
+
+def _fields(packet):
+    return (packet.flow_id, packet.seq_in_flow, packet.eth, packet.ip,
+            packet.l4, packet.wire_len, packet.payload_len)
+
+
+def _assert_matches_reference(workload, reference):
+    """Entry-by-entry equality with a per-packet reference train.
+
+    Templated packets are built in the same order as per-packet ones,
+    so uids must still rise strictly along the (time-sorted) entries.
+    """
+    assert len(workload.entries) == len(reference)
+    for (t, packet), (ref_t, ref_packet) in zip(workload.entries, reference):
+        assert t == ref_t
+        assert _fields(packet) == _fields(ref_packet)
+        assert packet.created_at is None
+    uids = [packet.uid for _, packet in workload.entries]
+    assert all(a < b for a, b in zip(uids, uids[1:]))
+
+
+@pytest.mark.parametrize("seed", [None, 3, 41])
+def test_batched_flows_match_per_packet_construction(seed):
+    rate, frame_len, batch_gap, jitter = mbps(50), 1000, 0.005, 0.02
+    workload = batched_multi_packet_flows(
+        rate, n_flows=10, packets_per_flow=6, batch_size=5,
+        batch_gap=batch_gap, frame_len=frame_len,
+        rng=RandomStreams(seed) if seed is not None else None,
+        jitter_fraction=jitter)
+    rng = RandomStreams(seed) if seed is not None else None
+    gap = transmission_delay(frame_len, rate)
+    order = cross_sequence(5, 6)
+    reference = []
+    batch_start = 0.0
+    for batch_index in range(2):
+        for slot, (flow_in_batch, seq) in enumerate(order):
+            flow_id = batch_index * 5 + flow_in_batch
+            t = batch_start + slot * gap
+            if rng is not None:
+                t = max(t + rng.uniform("pktgen-jitter", -jitter * gap,
+                                        jitter * gap), batch_start)
+            reference.append((t, udp_packet(
+                HOST1_MAC, HOST2_MAC, _forged_source_ip(flow_id), HOST2_IP,
+                2000 + flow_id, 9, frame_len=frame_len, flow_id=flow_id,
+                seq_in_flow=seq)))
+        batch_start += len(order) * gap + batch_gap
+    reference.sort(key=lambda entry: entry[0])
+    _assert_matches_reference(workload, reference)
+
+
+def test_recurring_flows_match_per_packet_construction():
+    rate = mbps(20)
+    workload = recurring_flows(rate, n_flows=4, rounds=3, frame_len=500)
+    gap = transmission_delay(500, rate)
+    reference = [
+        ((round_index * 4 + flow_id) * gap, udp_packet(
+            HOST1_MAC, HOST2_MAC, _forged_source_ip(flow_id), HOST2_IP,
+            3000 + flow_id, 9, frame_len=500, flow_id=flow_id,
+            seq_in_flow=round_index))
+        for round_index in range(3) for flow_id in range(4)]
+    _assert_matches_reference(workload, reference)
+
+
+@pytest.mark.parametrize("initial_packets", [0, 3])
+def test_tcp_eviction_matches_per_packet_construction(initial_packets):
+    rate = mbps(50)
+    workload = tcp_eviction_scenario(rate, initial_packets=initial_packets,
+                                     idle_gap=0.5, burst_packets=4)
+    gap = transmission_delay(1000, rate)
+    reference = []
+    t = 0.0
+    for seq in range(2 + initial_packets + 4):
+        if seq == 2 + initial_packets:
+            t += 0.5
+        if seq < 2:
+            packet = tcp_control_packet(
+                HOST1_MAC, HOST2_MAC, HOST1_IP, HOST2_IP, 45000, 80,
+                flags=FLAG_SYN if seq == 0 else FLAG_ACK)
+        else:
+            packet = tcp_packet(HOST1_MAC, HOST2_MAC, HOST1_IP, HOST2_IP,
+                                45000, 80, flags=FLAG_ACK, frame_len=1000)
+        packet.flow_id, packet.seq_in_flow = 0, seq
+        reference.append((t, packet))
+        t += gap
+    _assert_matches_reference(workload, reference)
+
+
+def test_mixed_tcp_udp_matches_per_packet_construction():
+    rate = mbps(50)
+    workload = mixed_tcp_udp(rate, n_tcp_flows=3, packets_per_tcp=5,
+                             n_udp_flows=12)
+    gap = transmission_delay(1000, rate)
+    reference = []
+    for slot, (_, packet) in enumerate(workload.entries):
+        flow_id, seq = packet.flow_id, packet.seq_in_flow
+        if flow_id >= 3:
+            index = flow_id - 3
+            ref = udp_packet(HOST1_MAC, HOST2_MAC, _forged_source_ip(index),
+                             HOST2_IP, 5000 + index % 1000, 9,
+                             frame_len=1000, flow_id=flow_id, seq_in_flow=0)
+        elif seq == 0:
+            ref = tcp_control_packet(HOST1_MAC, HOST2_MAC, HOST1_IP,
+                                     HOST2_IP, 40000 + flow_id, 80,
+                                     flags=FLAG_SYN, flow_id=flow_id,
+                                     seq_in_flow=0)
+        else:
+            ref = tcp_packet(HOST1_MAC, HOST2_MAC, HOST1_IP, HOST2_IP,
+                             40000 + flow_id, 80, flags=FLAG_ACK,
+                             frame_len=1000, flow_id=flow_id,
+                             seq_in_flow=seq)
+        reference.append((slot * gap, ref))
+    _assert_matches_reference(workload, reference)
+    for flow_id in range(3):
+        seqs = sorted(p.seq_in_flow for _, p in workload.entries
+                      if p.flow_id == flow_id)
+        assert seqs == list(range(5))
+
+
+def _hybrid_train():
+    return flow_train_flows(mbps(4), n_flows=12, packets_per_flow=6,
+                            flow_rate=500.0)
+
+
+@pytest.mark.parametrize("engine,factory", [
+    (PACKET, lambda: batched_multi_packet_flows(
+        mbps(50), n_flows=10, packets_per_flow=6, rng=RandomStreams(4))),
+    (HYBRID, lambda: batched_multi_packet_flows(
+        mbps(50), n_flows=10, packets_per_flow=6, rng=RandomStreams(4))),
+    (HYBRID, _hybrid_train),
+], ids=["packet-batched", "hybrid-batched", "hybrid-train"])
+def test_run_once_replays_one_workload_identically(engine, factory):
+    """Replaying the same Workload object twice gives the same run.
+
+    Shared headers and templates must carry nothing from one replay into
+    the next: stamps land on per-run copies only.
+    """
+    workload = factory()
+    scenario = SINGLE.with_engine(engine)
+    first = run_once(flow_buffer_256(), workload, seed=4, scenario=scenario)
+    second = run_once(flow_buffer_256(), workload, seed=4,
+                      scenario=scenario)
+    assert first.completed_flows == first.total_flows
+    # TimeSeries carries no __eq__, so compare fields by value.
+    for field in dataclasses.fields(first):
+        mine, theirs = getattr(first, field.name), getattr(second, field.name)
+        if hasattr(mine, "times"):
+            mine, theirs = ((list(x.times), list(x.values))
+                            for x in (mine, theirs))
+        assert mine == theirs, field.name
+    assert all(packet.created_at is None and packet.switch_in_at is None
+               for _, packet in workload.entries)
